@@ -45,7 +45,7 @@ type result struct {
 }
 
 // environment echoes the header lines of the bench output plus toolchain
-// facts, so the JSON record is self-describing like BENCH_objective.json.
+// facts, so the JSON record is self-describing.
 type environment struct {
 	Goos   string `json:"goos"`
 	Goarch string `json:"goarch"`
@@ -211,8 +211,8 @@ func gate(curves []curve, maxSlowdown float64, cores int, minSerialNs float64) (
 	return violations, note, skipped
 }
 
-// jsonRecord mirrors the BENCH_objective.json layout: a self-describing
-// header plus per-family worker curves with the speedup at the widest pool.
+// jsonRecord builds the JSON record: a self-describing header plus
+// per-family worker curves with the speedup at the widest pool.
 func jsonRecord(curves []curve, env environment, desc string, now time.Time) map[string]any {
 	families := map[string]any{}
 	for _, c := range curves {

@@ -51,7 +51,6 @@ import (
 	"sync"
 
 	"bioschedsim/internal/objective"
-	"bioschedsim/internal/objective/kernel"
 	"bioschedsim/internal/sched"
 	"bioschedsim/internal/xrand"
 )
@@ -448,38 +447,38 @@ func (r *run) construct(lo, hi int, rnd *rand.Rand, sc *antScratch) float64 {
 // through VM j (tabu VMs contribute exactly 0), and the draw resolves with
 // an upper-bound search for the first cum[j] > x. Because cum strictly
 // increases at j exactly when weight j is positive, the selected VM always
-// carries positive weight and is never tabu. Both halves run through
-// internal/objective/kernel, so the same differential suite that pins the
-// Eq. 8/12/13 folds pins tour sampling.
+// carries positive weight and is never tabu. Every fill adds its weights in
+// ascending VM order, the order that pins placements bit for bit
+// (DESIGN.md §14).
 func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() float64 }) int {
 	cum = cum[:r.m]
 	var total float64
 	switch {
 	case r.dense && r.etaCls != nil:
-		// Hot path: the fused kernel masks, multiplies, and accumulates the
-		// whole candidate row in one pass over the cached b^α and η^β views.
+		// Hot path: mask, multiply, and accumulate the whole candidate row in
+		// one pass over the cached b^α and η^β views.
 		ba := r.bAlpha[i*r.m : (i+1)*r.m]
 		eta := r.etaCls[i*r.k : (i+1)*r.k]
-		total = kernel.WeightedCum(ba, eta, r.cls, tabu, cum)
+		total = weightedCum(ba, eta, r.cls, tabu, cum)
 	case r.dense:
 		ba := r.bAlpha[i*r.m : (i+1)*r.m]
 		for j := 0; j < r.m; j++ {
-			if tabu[j] {
-				cum[j] = 0
-				continue
+			var w float64
+			if !tabu[j] {
+				w = ba[j] * r.eta(i, j)
 			}
-			cum[j] = ba[j] * r.eta(i, j)
+			total += w
+			cum[j] = total
 		}
-		total = kernel.CumSum(cum, cum)
 	default:
 		for j := 0; j < r.m; j++ {
-			if tabu[j] {
-				cum[j] = 0
-				continue
+			var w float64
+			if !tabu[j] {
+				w = r.bVMAlpha[j] * r.eta(i, j)
 			}
-			cum[j] = r.bVMAlpha[j] * r.eta(i, j)
+			total += w
+			cum[j] = total
 		}
-		total = kernel.CumSum(cum, cum)
 	}
 	if total <= 0 || math.IsInf(total, 1) || math.IsNaN(total) {
 		// Degenerate weights (all under/overflowed): fall back to the first
@@ -492,7 +491,7 @@ func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() f
 		return 0
 	}
 	x := rnd.Float64() * total
-	if j := kernel.SearchCum(cum, x); j < r.m {
+	if j := rouletteSearch(cum, x); j < r.m {
 		return j
 	}
 	// Float round-off (x rounded up to the total): return the last allowed VM.
@@ -502,6 +501,88 @@ func (r *run) pick(i int, tabu []bool, cum []float64, rnd interface{ Float64() f
 		}
 	}
 	return 0
+}
+
+// rouletteSearch is the slot search pick resolves each draw with. It is
+// always searchCum; the indirection lets a test plant an off-by-one search
+// and prove the placement vector notices.
+var rouletteSearch = searchCum
+
+// searchCum returns the roulette slot for x on the cumulative-weight array
+// cum: the smallest j with cum[j] > x, i.e. the number of leading entries
+// ≤ x, and len(cum) when every entry is ≤ x. cum must be non-decreasing and
+// NaN-free, which weightedCum and pick's fills guarantee once pick has
+// rejected a 0, +Inf, or NaN total.
+//
+// It is a branchless binary upper-bound search: the half-step is a
+// data-dependent select (CMOV on amd64), so the O(log m) probes run
+// without a mispredictable branch.
+func searchCum(cum []float64, x float64) int {
+	// Invariant: every entry before base is ≤ x, every entry from base+n on
+	// is > x.
+	base, n := 0, len(cum)
+	for n > 1 {
+		half := n / 2
+		if cum[base+half-1] <= x {
+			base += half
+		}
+		n -= half
+	}
+	if n == 1 && cum[base] <= x {
+		base++
+	}
+	return base
+}
+
+// weightedCum fuses Eq. 5's masked weight row with its prefix sum: VM j
+// weighs ba[j]·eta[cls[j]], or exactly 0 when tabu[j], and cum[j] receives
+// the running total, which is returned. ba, cls, and tabu must have at
+// least len(cum) entries; eta is indexed by class id.
+//
+// The loop is unrolled 4x but keeps one accumulator fed in ascending VM
+// order: float addition is not associative, and this sum decides
+// placements, so unrolling may only remove loop overhead and bounds checks.
+// The zero of a tabu VM is added like any other weight so the accumulator
+// sees the same operations as the plain loop.
+func weightedCum(ba, eta []float64, cls []int32, tabu []bool, cum []float64) float64 {
+	n := len(cum)
+	ba = ba[:n]
+	cls = cls[:n]
+	tabu = tabu[:n]
+	var acc float64
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		var w0, w1, w2, w3 float64
+		if !tabu[j] {
+			w0 = ba[j] * eta[cls[j]]
+		}
+		if !tabu[j+1] {
+			w1 = ba[j+1] * eta[cls[j+1]]
+		}
+		if !tabu[j+2] {
+			w2 = ba[j+2] * eta[cls[j+2]]
+		}
+		if !tabu[j+3] {
+			w3 = ba[j+3] * eta[cls[j+3]]
+		}
+		acc += w0
+		cum[j] = acc
+		acc += w1
+		cum[j+1] = acc
+		acc += w2
+		cum[j+2] = acc
+		acc += w3
+		cum[j+3] = acc
+	}
+	for ; j < n; j++ {
+		var w float64
+		if !tabu[j] {
+			w = ba[j] * eta[cls[j]]
+		}
+		acc += w
+		cum[j] = acc
+	}
+	return acc
 }
 
 // evaporate applies Eq. 9's decay τ ← (1−ρ)τ by scaling the global factor

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"bioschedsim/internal/sim"
@@ -121,6 +122,13 @@ func (s *TimeShared) reschedule() {
 	eta := minRem / s.shareMIPS()
 	if eta < 0 {
 		eta = 0
+	}
+	if now := s.eng.Now(); now+eta <= now {
+		// The ETA is below half an ulp of a late clock, so now+eta rounds
+		// back to now and the tick would retire no work and re-arm the same
+		// instant forever. Arm the next representable instant instead: the
+		// elapsed ulp covers the sub-tolerance remainder.
+		eta = math.Nextafter(now, math.Inf(1)) - now
 	}
 	s.next = s.eng.Schedule(eta, sim.PriorityRelease, s.onTick)
 }

@@ -281,3 +281,29 @@ func BenchmarkSpaceSharedThousandCloudlets(b *testing.B) {
 		eng.Run()
 	}
 }
+
+// TestTimeSharedTinyRemainderLateClockTerminates is the regression for a
+// processor-sharing livelock: late in a long run (clock ≈ 3.4e5 s) a
+// cloudlet with ≈1.02e-7 MI left at ≈3510 MIPS has an ETA below half an
+// ulp of the clock, so now+eta rounds to now. The completion tick then
+// retired no work and re-armed the same instant forever. It must finish
+// within a bounded number of engine steps instead.
+func TestTimeSharedTinyRemainderLateClockTerminates(t *testing.T) {
+	eng := sim.NewEngine()
+	vm := NewVM(0, 3510, 1, 512, 500, 5000)
+	vm.bind(TimeSharedFactory(eng, vm, nil))
+	c := NewCloudlet(0, 1.02e-7, 1, 0, 0)
+	const at = 3.4e5
+	if eta := c.Length / vm.Capacity(); at+eta != at {
+		t.Fatalf("fixture no longer rounds: %v + %v != %v", at, eta, at)
+	}
+	eng.ScheduleAt(at, 0, func() { vm.Scheduler().Submit(c) })
+	for i := 0; i < 100 && eng.Step(); i++ {
+	}
+	if c.Status != CloudletFinished {
+		t.Fatalf("cloudlet still %v after 100 steps at t=%v (remaining %v MI)", c.Status, eng.Now(), c.remaining)
+	}
+	if eng.Step() {
+		t.Fatalf("engine still has events after the only cloudlet finished (t=%v)", eng.Now())
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"bioschedsim/internal/cloud"
-	"bioschedsim/internal/objective/kernel"
 	"bioschedsim/internal/sim"
 )
 
@@ -33,20 +32,37 @@ type RunStats struct {
 	SumExec   float64
 }
 
-// CollectRunStats aggregates one finished set through the Eq. 12/13
-// reduction kernels: min/max are seeded from the first cloudlet and SumExec
-// accumulates in slice order, exactly like the historical scalar fold. The
-// zero RunStats is the empty set and is the identity of Merge.
+// CollectRunStats aggregates one finished set in a single pass: min/max are
+// seeded from the first cloudlet and SumExec accumulates in slice order.
+// The zero RunStats is the empty set and is the identity of Merge.
 func CollectRunStats(cloudlets []*cloud.Cloudlet) RunStats {
 	if len(cloudlets) == 0 {
 		return RunStats{}
 	}
-	starts, finishes, execs := gather3(cloudlets)
-	var s RunStats
-	s.Count = len(cloudlets)
-	s.MinStart, _, _ = kernel.MinMaxSum(starts)
-	_, s.MaxFinish, _ = kernel.MinMaxSum(finishes)
-	s.MinExec, s.MaxExec, s.SumExec = kernel.MinMaxSum(execs)
+	first := cloudlets[0]
+	s := RunStats{
+		Count:     len(cloudlets),
+		MinStart:  first.StartTime,
+		MaxFinish: first.FinishTime,
+		MinExec:   first.ExecTime(),
+		MaxExec:   first.ExecTime(),
+	}
+	for _, c := range cloudlets {
+		if c.StartTime < s.MinStart {
+			s.MinStart = c.StartTime
+		}
+		if c.FinishTime > s.MaxFinish {
+			s.MaxFinish = c.FinishTime
+		}
+		e := c.ExecTime()
+		if e < s.MinExec {
+			s.MinExec = e
+		}
+		if e > s.MaxExec {
+			s.MaxExec = e
+		}
+		s.SumExec += e
+	}
 	return s
 }
 

@@ -9,52 +9,20 @@ import (
 	"time"
 
 	"bioschedsim/internal/cloud"
-	"bioschedsim/internal/objective/kernel"
 	"bioschedsim/internal/sim"
 )
-
-// gather3 extracts the start, finish, and execution-time columns of a
-// cloudlet set into flat float64 slices — the structure-of-arrays shape the
-// Eq. 12/13 reduction kernels fold. sim.Time is an alias of float64, so the
-// columns carry the exact stored values.
-func gather3(cloudlets []*cloud.Cloudlet) (starts, finishes, execs []float64) {
-	n := len(cloudlets)
-	buf := make([]float64, 3*n)
-	starts, finishes, execs = buf[:n], buf[n:2*n], buf[2*n:]
-	for i, c := range cloudlets {
-		starts[i] = c.StartTime
-		finishes[i] = c.FinishTime
-		execs[i] = c.ExecTime()
-	}
-	return starts, finishes, execs
-}
 
 // SimulationTime implements Eq. 12 over finished cloudlets:
 // T_sim = max(FinishTime) − min(StartTime). It returns 0 for an empty set.
 func SimulationTime(cloudlets []*cloud.Cloudlet) sim.Time {
-	if len(cloudlets) == 0 {
-		return 0
-	}
-	starts, finishes, _ := gather3(cloudlets)
-	minStart, _, _ := kernel.MinMaxSum(starts)
-	_, maxFinish, _ := kernel.MinMaxSum(finishes)
-	return maxFinish - minStart
+	return CollectRunStats(cloudlets).SimTime()
 }
 
 // TimeImbalance implements Eq. 13: (T_max − T_min) / T_avg over cloudlet
 // execution times. Zero means perfectly even execution; it returns 0 for an
 // empty set or when the average execution time is 0.
 func TimeImbalance(cloudlets []*cloud.Cloudlet) float64 {
-	if len(cloudlets) == 0 {
-		return 0
-	}
-	_, _, execs := gather3(cloudlets)
-	min, max, sum := kernel.MinMaxSum(execs)
-	avg := sum / float64(len(cloudlets))
-	if avg == 0 {
-		return 0
-	}
-	return (max - min) / avg
+	return CollectRunStats(cloudlets).Imbalance()
 }
 
 // ProcessingCost sums the per-cloudlet datacenter prices (§VI-C-4).

@@ -59,7 +59,8 @@ func TestMatrixAccessorsShareProblemSlices(t *testing.T) {
 
 // TestExecTimesHandBuiltClasses covers the scalar fallback for a Classes
 // value assembled by hand (no structure-of-arrays views): results must
-// match the kernel-backed path of a classesOf-built partition bit for bit.
+// match the structure-of-arrays path of a classesOf-built partition bit for
+// bit.
 func TestExecTimesHandBuiltClasses(t *testing.T) {
 	ctx := schedtest.Heterogeneous(t, 4, 8, 1)
 	built := objective.ClassesOf(ctx.VMs)
@@ -71,7 +72,7 @@ func TestExecTimesHandBuiltClasses(t *testing.T) {
 		b := hand.ExecTimes(c, bufB)
 		for i := range a {
 			if bits(a[i]) != bits(b[i]) {
-				t.Fatalf("hand-built Classes ExecTimes[%d] = %v, kernel path %v", i, b[i], a[i])
+				t.Fatalf("hand-built Classes ExecTimes[%d] = %v, SoA path %v", i, b[i], a[i])
 			}
 		}
 	}

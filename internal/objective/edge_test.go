@@ -29,7 +29,7 @@ func TestCostOfAndMakespanOfEmptyAssignment(t *testing.T) {
 }
 
 // TestNormsSingleClassFleet pins Norms on the paper's homogeneous scenario
-// (one exec-equivalence class): the kernel-backed gather over the compressed
+// (one exec-equivalence class): the class-index gather over the compressed
 // row must equal the brute-force flat (i, j) loop bit for bit, in every
 // storage mode, including the cost side computed from concrete VMs when the
 // matrix was built without cost caching.
@@ -60,9 +60,9 @@ func TestNormsSingleClassFleet(t *testing.T) {
 
 // TestExecByClassVsExecTimeHeterogeneous is the compression regression on a
 // heterogeneous fixture: every class representative's cached row entry and
-// the kernel-backed ExecTimes gather must be bit-identical to the scalar
-// ExecTime of the representative — the exact seam a wrong class key or a
-// divergent ExecRow kernel would break.
+// the structure-of-arrays ExecTimes fill must be bit-identical to the
+// scalar ExecTime of the representative — the exact seam a wrong class key
+// or a reordered Eq. 6 fill would break.
 func TestExecByClassVsExecTimeHeterogeneous(t *testing.T) {
 	ctx := schedtest.Heterogeneous(t, 7, 21, 2)
 	mx := objective.NewMatrix(ctx.Cloudlets, ctx.VMs, objective.Options{Mode: objective.Materialized})

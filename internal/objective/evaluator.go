@@ -1,7 +1,5 @@
 package objective
 
-import "bioschedsim/internal/objective/kernel"
-
 // Evaluator maintains the fitness of one assignment under single-cloudlet
 // updates. A full evaluation of Eq. 8 is O(n); the Evaluator books per-VM
 // load once and then keeps makespan and total cost current through O(1)
@@ -171,8 +169,13 @@ func (e *Evaluator) Load(j int) float64 {
 // touched VMs are rescanned.
 func (e *Evaluator) Makespan() float64 {
 	if e.maxStale {
-		e.max = kernel.MaxIndexed(e.busy, e.touched)
-		e.maxStale = false
+		var max float64
+		for _, j := range e.touched {
+			if b := e.busy[j]; b > max {
+				max = b
+			}
+		}
+		e.max, e.maxStale = max, false
 	}
 	return e.max
 }

@@ -35,7 +35,6 @@ import (
 	"math"
 
 	"bioschedsim/internal/cloud"
-	"bioschedsim/internal/objective/kernel"
 )
 
 // Mode selects the Matrix storage strategy.
@@ -222,7 +221,14 @@ func (mx *Matrix) MakespanOf(pos []int, busy []float64) float64 {
 			busy[j] += ExecTime(mx.cloudlets[i], mx.vms[j])
 		}
 	}
-	return kernel.Max(busy)
+	// Seeded at 0: per-VM loads are non-negative.
+	var max float64
+	for _, b := range busy {
+		if b > max {
+			max = b
+		}
+	}
+	return max
 }
 
 // CostOf sums the processing cost of the assignment vector pos in ascending
@@ -246,21 +252,21 @@ func (mx *Matrix) CostOf(pos []int) float64 {
 // Norms returns the summed exec time and cost over every (cloudlet, VM)
 // pair — the normalizers multi-objective searches (PSO Combined) divide by.
 // Accumulation iterates (i, then j) exactly like the historical in-algorithm
-// matrices did: the kernel gathers each cloudlet's compressed class row
-// through the VM→class index, threading one accumulator across rows so the
-// grouping matches the flat (i, j) loop bit for bit. Zero sums are lifted to
-// 1 so they can be divided by.
+// matrices did: each cloudlet's compressed class row is gathered through the
+// VM→class index into one accumulator threaded across rows, so the grouping
+// matches the flat (i, j) loop bit for bit. Zero sums are lifted to 1 so
+// they can be divided by.
 func (mx *Matrix) Norms() (normTime, normCost float64) {
 	idx := mx.classes.Index
 	row := make([]float64, mx.classes.K)
 	for i := 0; i < mx.n; i++ {
 		if mx.exec != nil {
-			normTime = kernel.SumIndexed(normTime, mx.exec[i*mx.classes.K:(i+1)*mx.classes.K], idx)
+			normTime = sumIndexed(normTime, mx.exec[i*mx.classes.K:(i+1)*mx.classes.K], idx)
 		} else {
-			normTime = kernel.SumIndexed(normTime, mx.classes.ExecTimes(mx.cloudlets[i], row), idx)
+			normTime = sumIndexed(normTime, mx.classes.ExecTimes(mx.cloudlets[i], row), idx)
 		}
 		if mx.cost != nil {
-			normCost = kernel.SumIndexed(normCost, mx.cost[i*mx.classes.K:(i+1)*mx.classes.K], idx)
+			normCost = sumIndexed(normCost, mx.cost[i*mx.classes.K:(i+1)*mx.classes.K], idx)
 		} else {
 			// Cost equivalence needs the full pricing key, which this matrix was
 			// not built with: sum from the concrete VMs like Cost() does.
@@ -280,6 +286,15 @@ func (mx *Matrix) Norms() (normTime, normCost float64) {
 	return normTime, normCost
 }
 
+// sumIndexed continues acc with vals[idx[0]] + vals[idx[1]] + … in index
+// order and returns it.
+func sumIndexed(acc float64, vals []float64, idx []int32) float64 {
+	for _, j := range idx {
+		acc += vals[j]
+	}
+	return acc
+}
+
 // ---------------------------------------------------------------------------
 
 // Classes is a partition of a VM fleet into exec-equivalence classes: two
@@ -295,7 +310,7 @@ type Classes struct {
 	K int
 
 	// caps and bws hold each class representative's capacity and bandwidth
-	// in class order — the structure-of-arrays inputs kernel.ExecRow fills a
+	// in class order — the structure-of-arrays inputs ExecTimes fills a
 	// whole Eq. 6 row from without touching a VM pointer per class.
 	caps, bws []float64
 }
@@ -335,8 +350,8 @@ func classesOf(vms []*cloud.VM, withCost bool) *Classes {
 
 // ExecTimes fills buf (len ≥ K) with Eq. 6's d for cloudlet c on each class
 // and returns buf[:K]. Per-arrival policies use this to price a cloudlet
-// against a whole fleet with K formula evaluations instead of m. The fill
-// runs through kernel.ExecRow, bit-identical to ExecTime per entry.
+// against a whole fleet with K formula evaluations instead of m. Each entry
+// is bit-identical to ExecTime on the class representative.
 func (cl *Classes) ExecTimes(c *cloud.Cloudlet, buf []float64) []float64 {
 	buf = buf[:cl.K]
 	if cl.caps == nil {
@@ -346,7 +361,13 @@ func (cl *Classes) ExecTimes(c *cloud.Cloudlet, buf []float64) []float64 {
 		}
 		return buf
 	}
-	kernel.ExecRow(c.Length, c.FileSize, cl.caps, cl.bws, buf)
+	for k := range buf {
+		t := c.Length / cl.caps[k]
+		if cl.bws[k] > 0 {
+			t += c.FileSize / cl.bws[k]
+		}
+		buf[k] = t
+	}
 	return buf
 }
 
