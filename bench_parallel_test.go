@@ -1,9 +1,9 @@
 // Worker-count scaling curves for the parallel mapping kernels. Each
 // benchmark fans the same figure workload over workers ∈ {1, 2, 4, 8} so
-// `scripts/bench_parallel.sh` can record BENCH_parallel.json and
 // `verify.sh bench-smoke` can gate serial-vs-parallel regressions. Results
 // are bit-identical at every worker count (see the worker-invariance suite);
-// only wall clock may move.
+// only wall clock may move. Recorded end-to-end numbers, with their spread
+// and per-layer breakdown, come from perfbench (perfbench/README.md).
 package bioschedsim_test
 
 import (
@@ -71,8 +71,8 @@ func BenchmarkParallelFig6b(b *testing.B) {
 
 // BenchmarkParallelPaperScale is the paper-scale smoke point: 10k VMs x
 // 100k cloudlets, homogeneous (the fleet the paper sizes its largest
-// tables against). One mapping decision per iteration — run it via
-// scripts/bench_parallel.sh with -benchtime=1x; rbs and hbo only, since
+// tables against). One mapping decision per iteration — run it with
+// -bench ParallelPaperScale -benchtime=1x; rbs and hbo only, since
 // ACO's O(ants*n*m) construction is not a single-smoke-point workload.
 func BenchmarkParallelPaperScale(b *testing.B) {
 	scenario := homScenario(b, 10000, 100000)()

@@ -2,7 +2,8 @@
 // one benchmark per paper table and figure (see DESIGN.md's per-experiment
 // index) plus the ablation benches. Benchmarks run scaled-down instances of
 // the exact experiment code paths; `cloudsched figure <id>` regenerates the
-// full curves.
+// full curves. They are local probes, not a record: the repository's
+// recorded, noise-gated benchmark is perfbench (perfbench/README.md).
 package bioschedsim_test
 
 import (

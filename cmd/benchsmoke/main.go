@@ -1,27 +1,26 @@
-// Command benchsmoke parses `go test -bench` output for the worker-count
-// scaling benchmarks (bench_parallel_test.go) and either gates on the
-// serial-vs-parallel comparison or emits a BENCH_parallel.json record.
+// Command benchsmoke gates `go test -bench` output for the worker-count
+// scaling benchmarks (bench_parallel_test.go) on the serial-vs-parallel
+// comparison.
 //
 // Usage:
 //
-//	go test . -run xxx -bench ParallelFig -benchtime 200ms | benchsmoke -gate
-//	go test . -run xxx -bench Parallel | benchsmoke -json BENCH_parallel.json
+//	go test . -run xxx -bench ParallelFig -benchtime 200ms | benchsmoke
 //
 // The gate fails when any benchmark family's best parallel run (minimum
-// ns/op over workers > 1) is more than -max-slowdown times its workers=1
-// run — a real serialization bug slows every width, while one noisy sample
-// cannot trip the smoke. Only large configs are gated: families whose
-// serial run is under -min-serial-ns are micro-scale and noise-dominated
-// at smoke benchtimes, so they are reported but not judged. On a
-// single-core host a parallel pool cannot beat serial, so the gate only
-// bounds overhead there and says so; on multicore it doubles as a scaling
-// regression tripwire.
+// ns/op over workers > 1) is more than maxSlowdown (1.10) times its
+// workers=1 run — a real serialization bug slows every width, while one
+// noisy sample cannot trip the smoke. Only large configs are gated:
+// families whose serial run is under minSerialNs (1 ms) are micro-scale
+// and noise-dominated at smoke benchtimes, so they are reported but not
+// judged. On a single-core host a parallel pool cannot beat serial, so the
+// gate only bounds overhead there and says so; on multicore it doubles as
+// a scaling regression tripwire.
+//
+// Recorded benchmark numbers live in perfbench (perfbench/README.md).
 package main
 
 import (
 	"bufio"
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -30,7 +29,15 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
+)
+
+const (
+	// maxSlowdown bounds a family's best parallel ns/op as a multiple of
+	// its workers=1 run.
+	maxSlowdown = 1.10
+	// minSerialNs is the serial ns/op below which a family is micro-scale
+	// and not gated.
+	minSerialNs = 1e6
 )
 
 // benchLine matches one result line of `go test -bench` output, e.g.
@@ -40,18 +47,17 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op`)
 
 // result is one parsed benchmark line.
 type result struct {
-	Name    string  // normalized: trailing -GOMAXPROCS suffix stripped
-	NsPerOp float64 `json:"ns_op"`
+	Name    string // normalized: trailing -GOMAXPROCS suffix stripped
+	NsPerOp float64
 }
 
-// environment echoes the header lines of the bench output plus toolchain
-// facts, so the JSON record is self-describing.
+// environment echoes the header lines of the bench output plus the core
+// count the gate judges against.
 type environment struct {
-	Goos   string `json:"goos"`
-	Goarch string `json:"goarch"`
-	CPU    string `json:"cpu"`
-	Cores  int    `json:"cores"`
-	Go     string `json:"go"`
+	Goos   string
+	Goarch string
+	CPU    string
+	Cores  int
 }
 
 // curve is the worker-count sweep of one benchmark family
@@ -64,7 +70,7 @@ type curve struct {
 // parseBench reads `go test -bench` output, returning normalized results
 // and whatever environment header lines were present.
 func parseBench(r io.Reader) ([]result, environment, error) {
-	env := environment{Cores: runtime.GOMAXPROCS(0), Go: runtime.Version()}
+	env := environment{Cores: runtime.GOMAXPROCS(0)}
 	var out []result
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -111,12 +117,8 @@ func normalizeName(name string) string {
 }
 
 // workersRun splits a normalized name into its family and worker count;
-// ok is false for benchmarks without a /workers-K leaf. A trailing
-// /kernel=on|off sub-benchmark (the objective-kernel dispatch dimension)
-// is folded into the family, so each kernel mode forms its own curve;
-// a kernel segment ahead of the workers leaf lands in the family via the
-// greedy prefix match without any special casing.
-var workersLeaf = regexp.MustCompile(`^(.+)/workers-(\d+)(/kernel=(?:on|off))?$`)
+// ok is false for benchmarks without a /workers-K leaf.
+var workersLeaf = regexp.MustCompile(`^(.+)/workers-(\d+)$`)
 
 func workersRun(name string) (family string, workers int, ok bool) {
 	m := workersLeaf.FindStringSubmatch(name)
@@ -127,7 +129,7 @@ func workersRun(name string) (family string, workers int, ok bool) {
 	if err != nil {
 		return "", 0, false
 	}
-	return m[1] + m[3], w, true
+	return m[1], w, true
 }
 
 // buildCurves groups /workers-K results into per-family sweeps, sorted by
@@ -155,17 +157,6 @@ func buildCurves(results []result) []curve {
 		out = append(out, curve{Family: f, NsPerOp: byFamily[f]})
 	}
 	return out
-}
-
-// widest returns the largest worker count in the curve.
-func (c curve) widest() int {
-	max := 0
-	for w := range c.NsPerOp {
-		if w > max {
-			max = w
-		}
-	}
-	return max
 }
 
 // gate compares each family's best parallel run (minimum ns/op over all
@@ -211,36 +202,7 @@ func gate(curves []curve, maxSlowdown float64, cores int, minSerialNs float64) (
 	return violations, note, skipped
 }
 
-// jsonRecord builds the JSON record: a self-describing header plus
-// per-family worker curves with the speedup at the widest pool.
-func jsonRecord(curves []curve, env environment, desc string, now time.Time) map[string]any {
-	families := map[string]any{}
-	for _, c := range curves {
-		entry := map[string]any{}
-		workers := make([]int, 0, len(c.NsPerOp))
-		for w := range c.NsPerOp {
-			workers = append(workers, w)
-		}
-		sort.Ints(workers)
-		for _, w := range workers {
-			entry[fmt.Sprintf("workers_%d_ns_op", w)] = c.NsPerOp[w]
-		}
-		if serial, ok := c.NsPerOp[1]; ok {
-			if w := c.widest(); w > 1 && c.NsPerOp[w] > 0 {
-				entry[fmt.Sprintf("speedup_at_%d", w)] = fmt.Sprintf("%.2fx", serial/c.NsPerOp[w])
-			}
-		}
-		families[c.Family] = entry
-	}
-	return map[string]any{
-		"description": desc,
-		"date":        now.Format("2006-01-02"),
-		"environment": env,
-		"curves":      families,
-	}
-}
-
-func run(in io.Reader, out io.Writer, gateMode bool, maxSlowdown, minSerialNs float64, jsonPath, desc string) error {
+func run(in io.Reader, out io.Writer) error {
 	results, env, err := parseBench(in)
 	if err != nil {
 		return err
@@ -249,48 +211,25 @@ func run(in io.Reader, out io.Writer, gateMode bool, maxSlowdown, minSerialNs fl
 	if len(curves) == 0 {
 		return fmt.Errorf("no /workers-K benchmark results found in input")
 	}
-	if jsonPath != "" {
-		rec := jsonRecord(curves, env, desc, time.Now())
-		buf, err := json.MarshalIndent(rec, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s (%d families)\n", jsonPath, len(curves))
+	violations, note, skipped := gate(curves, maxSlowdown, env.Cores, minSerialNs)
+	if note != "" {
+		fmt.Fprintf(out, "note: %s\n", note)
 	}
-	if gateMode {
-		violations, note, skipped := gate(curves, maxSlowdown, env.Cores, minSerialNs)
-		if note != "" {
-			fmt.Fprintf(out, "note: %s\n", note)
-		}
-		if skipped > 0 {
-			fmt.Fprintf(out, "note: %d micro-scale families below %.0f ns/op serial not gated (noise-dominated at smoke benchtimes)\n", skipped, minSerialNs)
-		}
-		for _, v := range violations {
-			fmt.Fprintf(out, "FAIL %s\n", v)
-		}
-		if len(violations) > 0 {
-			return fmt.Errorf("%d worker-scaling violation(s)", len(violations))
-		}
-		fmt.Fprintf(out, "ok: %d families gated within %.2fx serial (%d skipped)\n", len(curves)-skipped, maxSlowdown, skipped)
+	if skipped > 0 {
+		fmt.Fprintf(out, "note: %d micro-scale families below %.0f ns/op serial not gated (noise-dominated at smoke benchtimes)\n", skipped, minSerialNs)
 	}
+	for _, v := range violations {
+		fmt.Fprintf(out, "FAIL %s\n", v)
+	}
+	if len(violations) > 0 {
+		return fmt.Errorf("%d worker-scaling violation(s)", len(violations))
+	}
+	fmt.Fprintf(out, "ok: %d families gated within %.2fx serial (%d skipped)\n", len(curves)-skipped, maxSlowdown, skipped)
 	return nil
 }
 
 func main() {
-	gateMode := flag.Bool("gate", false, "fail when a family's best parallel width exceeds -max-slowdown x its serial run")
-	maxSlowdown := flag.Float64("max-slowdown", 1.10, "gate threshold: best parallel ns/op may not exceed this multiple of serial")
-	minSerialNs := flag.Float64("min-serial-ns", 1e6, "only gate families whose serial run is at least this many ns/op (smaller ones are noise-dominated smoke samples)")
-	jsonPath := flag.String("json", "", "write a BENCH_parallel.json-style record to this path")
-	desc := flag.String("desc", "Worker-count scaling of the parallel mapping kernels (bench_parallel_test.go)", "description embedded in the JSON record")
-	flag.Parse()
-	if !*gateMode && *jsonPath == "" {
-		fmt.Fprintln(os.Stderr, "benchsmoke: nothing to do; pass -gate and/or -json PATH")
-		os.Exit(2)
-	}
-	if err := run(os.Stdin, os.Stdout, *gateMode, *maxSlowdown, *minSerialNs, *jsonPath, *desc); err != nil {
+	if err := run(os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchsmoke:", err)
 		os.Exit(1)
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 const sampleOutput = `goos: linux
@@ -73,84 +72,6 @@ func TestWorkersRunSplitsFamilyAndCount(t *testing.T) {
 	}
 }
 
-// The objective-kernel benchmarks carry a /kernel=on|off dispatch
-// dimension. Before: plain workers leaves parse as they always did.
-// After: the same families with a trailing kernel segment normalize
-// (GOMAXPROCS suffix stripped, kernel mode kept) and group into one
-// curve per kernel mode.
-func TestWorkersRunToleratesKernelSuffix(t *testing.T) {
-	before := map[string]struct {
-		family  string
-		workers int
-	}{
-		"BenchmarkParallelFig5a/aco/workers-1": {"BenchmarkParallelFig5a/aco", 1},
-		"BenchmarkParallelFig5a/aco/workers-8": {"BenchmarkParallelFig5a/aco", 8},
-	}
-	after := map[string]struct {
-		family  string
-		workers int
-	}{
-		"BenchmarkParallelFig5a/aco/workers-1/kernel=on":  {"BenchmarkParallelFig5a/aco/kernel=on", 1},
-		"BenchmarkParallelFig5a/aco/workers-8/kernel=on":  {"BenchmarkParallelFig5a/aco/kernel=on", 8},
-		"BenchmarkParallelFig5a/aco/workers-1/kernel=off": {"BenchmarkParallelFig5a/aco/kernel=off", 1},
-		// A kernel segment ahead of the workers leaf stays in the family.
-		"BenchmarkNorms/kernel=off/workers-4": {"BenchmarkNorms/kernel=off", 4},
-	}
-	for name, want := range before {
-		family, w, ok := workersRun(name)
-		if !ok || family != want.family || w != want.workers {
-			t.Fatalf("before-set %q parsed as (%q, %d, %v), want (%q, %d)", name, family, w, ok, want.family, want.workers)
-		}
-	}
-	for name, want := range after {
-		family, w, ok := workersRun(name)
-		if !ok || family != want.family || w != want.workers {
-			t.Fatalf("after-set %q parsed as (%q, %d, %v), want (%q, %d)", name, family, w, ok, want.family, want.workers)
-		}
-	}
-}
-
-// Full pipeline over kernel-suffixed bench output: names normalize with
-// and without the GOMAXPROCS suffix, and the two kernel modes of one
-// family gate as independent worker curves.
-func TestParseBenchAndCurvesWithKernelDimension(t *testing.T) {
-	const kernelOutput = `goos: linux
-BenchmarkParallelFig5a/aco/workers-1/kernel=on-4    15	   4108897 ns/op
-BenchmarkParallelFig5a/aco/workers-8/kernel=on-4    90	   1050000 ns/op
-BenchmarkParallelFig5a/aco/workers-1/kernel=off-4   12	   5208897 ns/op
-BenchmarkParallelFig5a/aco/workers-8/kernel=off-4   70	   1350000 ns/op
-BenchmarkCumSum/kernel=on-4                       9000	    120000 ns/op
-`
-	results, _, err := parseBench(strings.NewReader(kernelOutput))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := results[0].Name; got != "BenchmarkParallelFig5a/aco/workers-1/kernel=on" {
-		t.Fatalf("kernel leaf normalized to %q", got)
-	}
-	if got := results[4].Name; got != "BenchmarkCumSum/kernel=on" {
-		t.Fatalf("workerless kernel bench normalized to %q", got)
-	}
-	curves := buildCurves(results)
-	if len(curves) != 2 {
-		t.Fatalf("got %d curves, want 2 (one per kernel mode); workerless bench must be dropped", len(curves))
-	}
-	if curves[0].Family != "BenchmarkParallelFig5a/aco/kernel=off" || curves[1].Family != "BenchmarkParallelFig5a/aco/kernel=on" {
-		t.Fatalf("families = %q, %q", curves[0].Family, curves[1].Family)
-	}
-	if got := curves[1].NsPerOp[8]; got != 1050000 {
-		t.Fatalf("kernel=on workers-8 = %v", got)
-	}
-	// Suffix-free (GOMAXPROCS=1) kernel leaves survive normalization too.
-	bare, _, err := parseBench(strings.NewReader("BenchmarkParallelFig5a/aco/workers-1/kernel=off    12	5208897 ns/op\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bare[0].Name; got != "BenchmarkParallelFig5a/aco/workers-1/kernel=off" {
-		t.Fatalf("suffix-free kernel leaf mangled to %q", got)
-	}
-}
-
 func TestBuildCurvesGroupsByFamily(t *testing.T) {
 	results, _, err := parseBench(strings.NewReader(sampleOutput))
 	if err != nil {
@@ -166,9 +87,6 @@ func TestBuildCurvesGroupsByFamily(t *testing.T) {
 	}
 	if got := curves[0].NsPerOp[2]; got != 2101133 {
 		t.Fatalf("aco workers-2 = %v", got)
-	}
-	if got := curves[0].widest(); got != 8 {
-		t.Fatalf("widest = %d", got)
 	}
 }
 
@@ -254,26 +172,9 @@ func TestGateRequiresSerialBaseline(t *testing.T) {
 	}
 }
 
-func TestJSONRecordShape(t *testing.T) {
-	curves := []curve{{Family: "f/aco", NsPerOp: map[int]float64{1: 1000, 4: 400}}}
-	env := environment{Goos: "linux", Cores: 4}
-	rec := jsonRecord(curves, env, "test record", time.Date(2026, 8, 6, 0, 0, 0, 0, time.UTC))
-	if rec["date"] != "2026-08-06" {
-		t.Fatalf("date = %v", rec["date"])
-	}
-	fams := rec["curves"].(map[string]any)
-	entry := fams["f/aco"].(map[string]any)
-	if entry["workers_1_ns_op"] != 1000.0 || entry["workers_4_ns_op"] != 400.0 {
-		t.Fatalf("curve entry = %v", entry)
-	}
-	if entry["speedup_at_4"] != "2.50x" {
-		t.Fatalf("speedup = %v", entry["speedup_at_4"])
-	}
-}
-
 func TestRunGateEndToEnd(t *testing.T) {
 	var out strings.Builder
-	if err := run(strings.NewReader(sampleOutput), &out, true, 1.10, 1e6, "", ""); err != nil {
+	if err := run(strings.NewReader(sampleOutput), &out); err != nil {
 		t.Fatalf("gate failed on healthy sample: %v\n%s", err, out.String())
 	}
 	// The aco family (ms-scale) is gated; the rbs family (14us) is skipped.
@@ -281,7 +182,7 @@ func TestRunGateEndToEnd(t *testing.T) {
 		t.Fatalf("summary missing: %q", out.String())
 	}
 	// Empty input is an error, not a silent pass.
-	if err := run(strings.NewReader("PASS\n"), &out, true, 1.10, 1e6, "", ""); err == nil {
+	if err := run(strings.NewReader("PASS\n"), &out); err == nil {
 		t.Fatal("empty input passed the gate")
 	}
 }

@@ -9,34 +9,14 @@ import (
 // run one Engine per goroutine for parallel experiments.
 type Engine struct {
 	now     Time
-	queue   Queue
+	queue   eventHeap
 	seq     uint64
 	fired   uint64
 	stopped bool
-	tracer  Tracer
-}
-
-// Option configures an Engine.
-type Option func(*Engine)
-
-// WithQueue selects the future-event-list implementation (default HeapQueue).
-func WithQueue(q Queue) Option {
-	return func(e *Engine) { e.queue = q }
-}
-
-// WithTracer attaches a Tracer that observes every fired event.
-func WithTracer(t Tracer) Option {
-	return func(e *Engine) { e.tracer = t }
 }
 
 // NewEngine returns an Engine at time zero.
-func NewEngine(opts ...Option) *Engine {
-	e := &Engine{queue: NewHeapQueue()}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
@@ -46,7 +26,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still queued (cancelled events may be
 // included until they surface).
-func (e *Engine) Pending() int { return e.queue.Len() }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule registers fn to run after delay with the given priority and
 // returns the Event handle (usable to Cancel). Negative delays are an error:
@@ -68,7 +48,7 @@ func (e *Engine) ScheduleAt(t Time, priority int, fn func()) *Event {
 	}
 	e.seq++
 	ev := &Event{time: t, priority: priority, seq: e.seq, fn: fn}
-	e.queue.Push(ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -76,17 +56,14 @@ func (e *Engine) ScheduleAt(t Time, priority int, fn func()) *Event {
 // Cancelled events are discarded without firing and without advancing time.
 func (e *Engine) Step() bool {
 	for {
-		if e.stopped || e.queue.Len() == 0 {
+		if e.stopped || len(e.queue) == 0 {
 			return false
 		}
-		ev := e.queue.Pop()
+		ev := e.queue.pop()
 		if ev.canceled {
 			continue
 		}
 		e.now = ev.time
-		if e.tracer != nil {
-			e.tracer.Fire(ev)
-		}
 		ev.fn()
 		e.fired++
 		return true
@@ -108,7 +85,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.stopped {
 			return e.now
 		}
-		next := e.queue.Peek()
+		next := e.queue.peek()
 		if next == nil || next.time > deadline {
 			break
 		}

@@ -177,44 +177,35 @@ func TestEngineNilCallbackPanics(t *testing.T) {
 	NewEngine().Schedule(0, PriorityDefault, nil)
 }
 
-func TestEngineWithCalendarQueue(t *testing.T) {
-	e := NewEngine(WithQueue(NewCalendarQueue()))
-	sum := Time(0)
-	for i := 1; i <= 1000; i++ {
-		tm := Time(i)
-		e.Schedule(tm, PriorityDefault, func() { sum += tm })
-	}
-	e.Run()
-	if sum != 500500 {
-		t.Fatalf("sum: got %v want 500500", sum)
-	}
-	if e.Fired() != 1000 {
-		t.Fatalf("Fired: %d", e.Fired())
-	}
-}
-
+// TestEngineTracer and TestFuncTracer keep the names of the tests that
+// once read these counts through an event tracer; the engine now keeps
+// the count itself in Fired. Fired counts every event that ran, whatever
+// its priority, and never a cancelled one.
 func TestEngineTracer(t *testing.T) {
-	tr := NewCountingTracer()
-	e := NewEngine(WithTracer(tr))
+	e := NewEngine()
 	e.Schedule(1, PriorityRelease, func() {})
 	e.Schedule(2, PriorityAcquire, func() {})
 	e.Schedule(3, PriorityAcquire, func() {})
-	e.Run()
-	if tr.Total != 3 {
-		t.Fatalf("tracer total: %d", tr.Total)
+	if !e.Step() || e.Fired() != 1 {
+		t.Fatalf("after one Step: Fired = %d", e.Fired())
 	}
-	if tr.ByPriority[PriorityAcquire] != 2 || tr.ByPriority[PriorityRelease] != 1 {
-		t.Fatalf("tracer by priority: %v", tr.ByPriority)
+	e.Run()
+	if e.Fired() != 3 {
+		t.Fatalf("Fired = %d, want 3", e.Fired())
 	}
 }
 
 func TestFuncTracer(t *testing.T) {
-	n := 0
-	e := NewEngine(WithTracer(FuncTracer(func(*Event) { n++ })))
+	e := NewEngine()
 	e.Schedule(0, PriorityDefault, func() {})
+	e.Schedule(1, PriorityDefault, func() {}).Cancel()
+	e.Schedule(2, PriorityLow, func() {})
 	e.Run()
-	if n != 1 {
-		t.Fatalf("func tracer count: %d", n)
+	if e.Fired() != 2 {
+		t.Fatalf("Fired = %d, want 2 (the cancelled event must not count)", e.Fired())
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run", e.Pending())
 	}
 }
 

@@ -4,10 +4,8 @@
 // float64 (this repository uses seconds, converting to the paper's
 // milliseconds/hours at the reporting layer), events are closures scheduled at
 // absolute times, and ties are broken first by an integer priority and then
-// by insertion order, so runs are fully deterministic. Two future-event-list
-// implementations are provided — a binary heap and a calendar queue — behind
-// a common Queue interface; the engine defaults to the heap, and the
-// `abl-queue` benchmarks compare the two.
+// by insertion order, so runs are fully deterministic. The future event list
+// is a single binary heap held directly by the Engine.
 package sim
 
 // Time is simulated time since the start of the run (seconds by convention

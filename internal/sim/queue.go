@@ -1,88 +1,68 @@
 package sim
 
-// Queue is a future event list: a priority queue of events ordered by
-// (time, priority, insertion sequence).
-type Queue interface {
-	// Push inserts an event.
-	Push(*Event)
-	// Pop removes and returns the earliest event. It panics on empty.
-	Pop() *Event
-	// Peek returns the earliest event without removing it, or nil if empty.
-	Peek() *Event
-	// Len returns the number of queued events (including cancelled ones not
-	// yet discarded).
-	Len() int
-}
+// eventHeap is the engine's future event list: a binary min-heap of events
+// ordered by (time, priority, insertion sequence). O(log n) push/pop with
+// excellent constants at the event counts this simulator reaches
+// (millions).
+type eventHeap []*Event
 
-// HeapQueue is a classic binary-heap future event list. It is the engine's
-// default: O(log n) push/pop with excellent constants at the event counts
-// this simulator reaches (millions).
-type HeapQueue struct {
-	items []*Event
-}
-
-// NewHeapQueue returns an empty HeapQueue.
-func NewHeapQueue() *HeapQueue { return &HeapQueue{} }
-
-// Len implements Queue.
-func (q *HeapQueue) Len() int { return len(q.items) }
-
-// Peek implements Queue.
-func (q *HeapQueue) Peek() *Event {
-	if len(q.items) == 0 {
+// peek returns the earliest event without removing it, or nil if empty.
+func (h eventHeap) peek() *Event {
+	if len(h) == 0 {
 		return nil
 	}
-	return q.items[0]
+	return h[0]
 }
 
-// Push implements Queue.
-func (q *HeapQueue) Push(e *Event) {
-	q.items = append(q.items, e)
-	q.up(len(q.items) - 1)
+// push inserts an event.
+func (h *eventHeap) push(e *Event) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
 
-// Pop implements Queue.
-func (q *HeapQueue) Pop() *Event {
-	if len(q.items) == 0 {
-		panic("sim: Pop on empty HeapQueue")
+// pop removes and returns the earliest event. It panics on empty.
+func (h *eventHeap) pop() *Event {
+	q := *h
+	if len(q) == 0 {
+		panic("sim: pop on empty event heap")
 	}
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if len(q.items) > 0 {
-		q.down(0)
+	top := q[0]
+	last := len(q) - 1
+	q[0] = q[last]
+	q[last] = nil
+	*h = q[:last]
+	if last > 0 {
+		h.down(0)
 	}
 	return top
 }
 
-func (q *HeapQueue) up(i int) {
+func (h eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.items[i].before(q.items[parent]) {
+		if !h[i].before(h[parent]) {
 			break
 		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
-func (q *HeapQueue) down(i int) {
-	n := len(q.items)
+func (h eventHeap) down(i int) {
+	n := len(h)
 	for {
 		left := 2*i + 1
 		if left >= n {
 			return
 		}
 		least := left
-		if right := left + 1; right < n && q.items[right].before(q.items[left]) {
+		if right := left + 1; right < n && h[right].before(h[left]) {
 			least = right
 		}
-		if !q.items[least].before(q.items[i]) {
+		if !h[least].before(h[i]) {
 			return
 		}
-		q.items[i], q.items[least] = q.items[least], q.items[i]
+		h[i], h[least] = h[least], h[i]
 		i = least
 	}
 }

@@ -147,7 +147,8 @@ func TestSyntheticTraceDeterministic(t *testing.T) {
 }
 
 // BenchmarkReadTrace measures the CSV ingest hot path (ReuseRecord + output
-// preallocation; the columnar numbers live in BENCH_trace.json).
+// preallocation). Columnar ingest is timed end to end by perfbench's
+// tracecol.read_s (perfbench/README.md).
 func BenchmarkReadTrace(b *testing.B) {
 	entries, err := SyntheticTrace(HeterogeneousCloudletSpec(), 100_000, 8, 42)
 	if err != nil {

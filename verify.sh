@@ -13,7 +13,9 @@
 # decoder, the CSV workload trace parser, the columnar binary trace
 # reader/converter, schedlint's suppression-directive parser, ACO's
 # prefix-sum roulette helpers against naive loops, and the capacity-plan
-# spec parser).
+# spec parser), and perfbench's own tests (its golden check pins every
+# figure output, DES event count and plan verdict of the benchmark
+# workloads bit for bit; perfbench/README.md).
 #
 # schedlint runs with the committed baseline (.schedlint.baseline.json):
 # findings recorded there are tolerated while being burned down; anything
@@ -26,16 +28,17 @@
 #   verify.sh bench-smoke  worker-scaling smoke: Fig 5a / Fig 6b benches
 #                          across worker counts, failing if even the best
 #                          parallel width is >10% slower than workers=1 on
-#                          the large configs (micro-scale families are
-#                          noise at smoke benchtimes; cmd/benchsmoke)
+#                          the large configs (serial >= 1 ms/op;
+#                          micro-scale families are noise at smoke
+#                          benchtimes; cmd/benchsmoke)
 set -eux
 
 bench_smoke() {
-  # -benchtime=200ms keeps this a smoke, not a measurement; the recorded
-  # curves live in BENCH_parallel.json (scripts/bench_parallel.sh).
+  # -benchtime=200ms keeps this a smoke, not a measurement; recorded
+  # numbers come from perfbench (perfbench/README.md).
   go test . -run '^$' -bench 'ParallelFig5a|ParallelFig6b' -benchtime=200ms > bench-smoke.txt 2>&1 || { cat bench-smoke.txt; exit 1; }
   cat bench-smoke.txt
-  go run ./cmd/benchsmoke -gate -max-slowdown 1.10 < bench-smoke.txt
+  go run ./cmd/benchsmoke < bench-smoke.txt
 }
 
 case "${1:-all}" in
@@ -87,6 +90,12 @@ awk '
 # worker-invariance: every Traits.Parallel scheduler re-run at workers
 # in {1, 2, GOMAXPROCS} with bit-identical assignments required.
 go run ./cmd/schedcheck -quick
+
+# perfbench is its own module (a replace directive points it at this
+# checkout), so ./... above does not reach it. Its golden test re-runs the
+# benchmark workloads and requires bit-identical figure outputs, DES event
+# counts and plan verdicts.
+(cd perfbench && go test ./...)
 
 # Shard-count invariance, explicit: the merged Eq. 12/13 metrics must be
 # bit-identical at 1/2/4 shards, the seeded plant must be caught, and burst
