@@ -191,22 +191,30 @@ func (s *TimeShared) collect() {
 
 // SpaceShared grants each running cloudlet exclusive PEs at full MIPS and
 // queues the overflow FIFO, matching CloudSim's CloudletSchedulerSpaceShared.
+// It allocates nothing per cloudlet once warm: running cloudlets occupy
+// reusable slots (at most one per PE) and the queue is a slice read from a
+// head index.
 type SpaceShared struct {
 	eng      *sim.Engine
 	vm       *VM
 	onFinish FinishFunc
 
 	freePEs int
-	running map[*Cloudlet]*spaceRun
+	running []spaceRun // slots, grown on demand up to vm.PEs
+	busy    int        // slots holding a cloudlet
 	queue   []*Cloudlet
+	head    int // queue[head:] is still waiting
 }
 
-// spaceRun tracks one executing cloudlet so it can be drained mid-flight.
+// spaceRun is one execution slot: the cloudlet it runs (nil while free)
+// and what Drain needs to stop it mid-flight.
 type spaceRun struct {
+	c       *Cloudlet
 	pes     int
 	rate    float64  // MIPS while running
 	started sim.Time // when this run segment began
 	event   *sim.Event
+	finish  func() // completion callback for this slot, built once
 }
 
 // NewSpaceShared returns a space-shared scheduler bound to vm on eng.
@@ -214,14 +222,14 @@ func NewSpaceShared(eng *sim.Engine, vm *VM, onFinish FinishFunc) *SpaceShared {
 	if eng == nil || vm == nil {
 		panic("cloud: NewSpaceShared with nil engine or VM")
 	}
-	return &SpaceShared{eng: eng, vm: vm, onFinish: onFinish, freePEs: vm.PEs, running: make(map[*Cloudlet]*spaceRun)}
+	return &SpaceShared{eng: eng, vm: vm, onFinish: onFinish, freePEs: vm.PEs}
 }
 
 // Name implements CloudletScheduler.
 func (s *SpaceShared) Name() string { return "space-shared" }
 
 // Resident implements CloudletScheduler.
-func (s *SpaceShared) Resident() int { return len(s.running) + len(s.queue) }
+func (s *SpaceShared) Resident() int { return s.busy + len(s.queue) - s.head }
 
 // Submit implements CloudletScheduler.
 func (s *SpaceShared) Submit(c *Cloudlet) {
@@ -238,8 +246,8 @@ func (s *SpaceShared) Submit(c *Cloudlet) {
 // dispatch starts queued cloudlets while PEs are free.
 func (s *SpaceShared) dispatch() {
 	now := s.eng.Now()
-	for len(s.queue) > 0 {
-		c := s.queue[0]
+	for s.head < len(s.queue) {
+		c := s.queue[s.head]
 		need := c.PEs
 		if need > s.vm.PEs {
 			// The cloudlet can never get more PEs than the VM has; run it on
@@ -247,24 +255,48 @@ func (s *SpaceShared) dispatch() {
 			need = s.vm.PEs
 		}
 		if need > s.freePEs {
-			return
+			break
 		}
-		s.queue = s.queue[1:]
+		s.queue[s.head] = nil
+		s.head++
 		s.freePEs -= need
 		c.Status = CloudletRunning
 		c.StartTime = now
-		rate := s.vm.MIPS * float64(need)
-		eta := c.remaining / rate
-		run := &spaceRun{pes: need, rate: rate, started: now}
-		run.event = s.eng.Schedule(eta, sim.PriorityRelease, func() { s.finish(c) })
-		s.running[c] = run
+		run := s.slot()
+		run.c, run.pes, run.rate, run.started = c, need, s.vm.MIPS*float64(need), now
+		run.event = s.eng.Schedule(c.remaining/run.rate, sim.PriorityRelease, run.finish)
+		s.busy++
+	}
+	// Move the waiting tail to the front once the consumed prefix is at
+	// least as long, so each queued cloudlet is copied O(1) times amortized.
+	if s.head > 0 && 2*s.head >= len(s.queue) {
+		n := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[n:])
+		s.queue = s.queue[:n]
+		s.head = 0
 	}
 }
 
-// finish retires one running cloudlet and refills the PEs.
-func (s *SpaceShared) finish(c *Cloudlet) {
-	run := s.running[c]
-	delete(s.running, c)
+// slot returns a free execution slot, adding one when all are busy. Every
+// running cloudlet holds at least one PE, so there are never more slots
+// than PEs.
+func (s *SpaceShared) slot() *spaceRun {
+	for k := range s.running {
+		if s.running[k].c == nil {
+			return &s.running[k]
+		}
+	}
+	k := len(s.running)
+	s.running = append(s.running, spaceRun{finish: func() { s.finish(k) }})
+	return &s.running[k]
+}
+
+// finish retires the cloudlet in slot k and refills the PEs.
+func (s *SpaceShared) finish(k int) {
+	run := &s.running[k]
+	c := run.c
+	run.c, run.event = nil, nil
+	s.busy--
 	c.remaining = 0
 	c.Status = CloudletFinished
 	c.FinishTime = s.eng.Now()
@@ -280,7 +312,12 @@ func (s *SpaceShared) finish(c *Cloudlet) {
 func (s *SpaceShared) Drain() []*Cloudlet {
 	now := s.eng.Now()
 	var out []*Cloudlet
-	for c, run := range s.running {
+	for k := range s.running {
+		run := &s.running[k]
+		if run.c == nil {
+			continue
+		}
+		c := run.c
 		run.event.Cancel()
 		done := run.rate * (now - run.started)
 		c.remaining -= done
@@ -289,14 +326,16 @@ func (s *SpaceShared) Drain() []*Cloudlet {
 		}
 		s.freePEs += run.pes
 		out = append(out, c)
+		run.c, run.event = nil, nil
 	}
-	s.running = make(map[*Cloudlet]*spaceRun)
-	out = append(out, s.queue...)
-	s.queue = nil
+	s.busy = 0
+	out = append(out, s.queue[s.head:]...)
+	clear(s.queue)
+	s.queue, s.head = s.queue[:0], 0
 	for _, c := range out {
 		c.interrupt()
 	}
-	// Deterministic order for callers that iterate (map order above).
+	// Deterministic order for callers that iterate (slot order above).
 	sortCloudletsByID(out)
 	return out
 }

@@ -3,6 +3,7 @@ package cloud
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -193,6 +194,95 @@ func TestSpaceSharedOversizedCloudletClamped(t *testing.T) {
 	}
 	if !almost(wide.FinishTime, 1.0, 1e-9) {
 		t.Fatalf("clamped finish: %v", wide.FinishTime)
+	}
+}
+
+// TestSpaceSharedQueueHeadOrder: five mixed-length cloudlets on a 2-PE VM
+// finish in the order the FIFO head dictates, and Resident counts the
+// running slots plus what is left behind the queue head at every step.
+func TestSpaceSharedQueueHeadOrder(t *testing.T) {
+	eng := sim.NewEngine()
+	vm := NewVM(0, 100, 2, 512, 500, 5000)
+	var order []int
+	var resident []int
+	vm.bind(SpaceSharedFactory(eng, vm, func(c *Cloudlet) {
+		order = append(order, c.ID)
+		resident = append(resident, vm.Scheduler().Resident())
+	}))
+	lengths := []float64{300, 100, 200, 50, 100}
+	cls := make([]*Cloudlet, len(lengths))
+	for i, l := range lengths {
+		cls[i] = NewCloudlet(i, l, 1, 0, 0)
+		vm.Scheduler().Submit(cls[i])
+	}
+	if got := vm.Scheduler().Resident(); got != 5 {
+		t.Fatalf("Resident after submit = %d, want 5", got)
+	}
+	eng.Run()
+	// 0 [0,3] and 1 [0,1] start at once; 2 [1,3] takes 1's PE; 0 and 2 both
+	// end at t=3, 0 first (armed earlier), so 3 [3,3.5] then 4 [3,4] start.
+	if want := []int{1, 0, 2, 3, 4}; !slices.Equal(order, want) {
+		t.Fatalf("finish order %v, want %v", order, want)
+	}
+	if want := []int{4, 3, 2, 1, 0}; !slices.Equal(resident, want) {
+		t.Fatalf("Resident at each finish %v, want %v", resident, want)
+	}
+	starts := []float64{0, 0, 1, 3, 3}
+	finishes := []float64{3, 1, 3, 3.5, 4}
+	for i, c := range cls {
+		if c.StartTime != starts[i] || c.FinishTime != finishes[i] {
+			t.Errorf("cloudlet %d ran [%v, %v], want [%v, %v]", i, c.StartTime, c.FinishTime, starts[i], finishes[i])
+		}
+	}
+}
+
+// TestSpaceSharedDrainMidFlight: Drain returns running and queued cloudlets
+// sorted by ID with the running ones' progress kept; the cancelled
+// completions of the drained runs must not fire into the reused slots, and
+// resubmitting the batch finishes it.
+func TestSpaceSharedDrainMidFlight(t *testing.T) {
+	eng := sim.NewEngine()
+	vm := NewVM(0, 100, 2, 512, 500, 5000)
+	vm.bind(SpaceSharedFactory(eng, vm, nil))
+	byID := map[int]*Cloudlet{
+		3: NewCloudlet(3, 100, 1, 0, 0),
+		1: NewCloudlet(1, 200, 1, 0, 0),
+		2: NewCloudlet(2, 50, 1, 0, 0),
+		0: NewCloudlet(0, 100, 1, 0, 0),
+	}
+	for _, id := range []int{3, 1, 2, 0} { // 3 and 1 run, 2 and 0 queue
+		vm.Scheduler().Submit(byID[id])
+	}
+	eng.RunUntil(0.5)
+	out := vm.Scheduler().Drain()
+	if got := vm.Scheduler().Resident(); got != 0 {
+		t.Fatalf("Resident after Drain = %d, want 0", got)
+	}
+	if len(out) != 4 {
+		t.Fatalf("drained %d cloudlets, want 4", len(out))
+	}
+	remaining := []float64{100, 150, 50, 50}
+	for i, c := range out {
+		if c.ID != i {
+			t.Fatalf("drained IDs not sorted: position %d holds %d", i, c.ID)
+		}
+		if c.Status != CloudletCreated || c.VM != nil {
+			t.Errorf("cloudlet %d not reset for resubmission: %v on %v", c.ID, c.Status, c.VM)
+		}
+		if !almost(c.Remaining(), remaining[i], 1e-9) {
+			t.Errorf("cloudlet %d remaining %v, want %v", c.ID, c.Remaining(), remaining[i])
+		}
+	}
+	for _, c := range out {
+		vm.Scheduler().Submit(c)
+	}
+	eng.Run()
+	// From t=0.5: 0 [0.5,1.5] and 1 [0.5,2]; 2 [1.5,2]; 3 [2,2.5].
+	finishes := []float64{1.5, 2, 2, 2.5}
+	for i, c := range out {
+		if c.Status != CloudletFinished || !almost(c.FinishTime, finishes[i], 1e-9) {
+			t.Errorf("cloudlet %d: %v at %v, want finished at %v", c.ID, c.Status, c.FinishTime, finishes[i])
+		}
 	}
 }
 

@@ -18,12 +18,11 @@ import (
 // A Session is not safe for concurrent use; callers serialize access (the
 // service holds one mutex around place/submit/run).
 type Session struct {
-	env      *cloud.Environment
-	eng      *sim.Engine
-	broker   *cloud.Broker
-	policy   Scheduler // nil when the session only receives pre-placed work
-	onFinish cloud.FinishFunc
-	drained  int // prefix of broker.Finished() already returned by Run
+	env     *cloud.Environment
+	eng     *sim.Engine
+	broker  *cloud.Broker
+	policy  Scheduler // nil when the session only receives pre-placed work
+	drained int       // prefix of broker.Finished() already returned by Run
 }
 
 // NewSession validates env and binds a fresh engine and broker to it. policy
@@ -40,15 +39,9 @@ func NewSession(env *cloud.Environment, policy Scheduler, factory cloud.Schedule
 	eng := sim.NewEngine()
 	s := &Session{env: env, eng: eng, policy: policy}
 	s.broker = cloud.NewBroker(eng, env, factory)
-	learner, _ := policy.(Feedback)
-	s.broker.OnFinish(func(c *cloud.Cloudlet) {
-		if learner != nil {
-			learner.Completed(c, c.ExecTime())
-		}
-		if s.onFinish != nil {
-			s.onFinish(c)
-		}
-	})
+	if learner, ok := policy.(Feedback); ok {
+		s.broker.OnFinish(func(c *cloud.Cloudlet) { learner.Completed(c, c.ExecTime()) })
+	}
 	return s, nil
 }
 
@@ -66,10 +59,6 @@ func NewSubsetSession(base *cloud.Environment, vms []*cloud.VM, policy Scheduler
 	}
 	return NewSession(sub, policy, factory)
 }
-
-// OnFinish registers a hook invoked at each cloudlet completion, after any
-// policy feedback. It must be set before work is submitted.
-func (s *Session) OnFinish(fn cloud.FinishFunc) { s.onFinish = fn }
 
 // Now returns the session's current simulated time. The clock only moves
 // forward: each Run resumes where the previous one stopped.

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bioschedsim/internal/cloud"
 	"bioschedsim/internal/elastic"
@@ -44,74 +45,70 @@ func (r *RunResult) SLOMet(spec *Spec) bool {
 	return r.SLOValue(spec) <= spec.SLO.TargetSeconds
 }
 
-// vmNeed mirrors SpaceShared's PE accounting: a cloudlet occupies
-// min(c.PEs, vm.PEs) processing elements on its VM.
-func vmNeed(c *cloud.Cloudlet, vm *cloud.VM) int {
-	if c.PEs < vm.PEs {
-		return c.PEs
-	}
-	return vm.PEs
-}
-
 // centralQueue is the queue-dispatch engine: one FIFO over the whole
-// fleet, each arrival handed to the lowest-ID VM with enough free PEs, and
-// each completion pulling the queue head onto the freed capacity. For a
+// fleet, each arrival handed to the lowest-ID VM with a free PE, and each
+// completion pulling the queue head onto the freed capacity. For a
 // homogeneous fleet and single-PE cloudlets this is textbook M/M/c — the
-// property the qmodel-oracle invariant certifies.
+// property the qmodel-oracle invariant certifies. Plan cloudlets always
+// need exactly one PE, so "lowest-ID VM with room" is the lowest set bit
+// of the free bitmap.
 type centralQueue struct {
 	broker  *cloud.Broker
-	vms     []*cloud.VM
-	index   map[*cloud.VM]int
+	vms     []*cloud.VM // vms[i].ID == i (buildFleet)
 	freePEs []int
+	free    []uint64 // bit i set while vms[i] has a free PE
 	fifo    []*cloud.Cloudlet
 	head    int
 }
 
 func newCentralQueue(broker *cloud.Broker, vms []*cloud.VM) *centralQueue {
-	q := &centralQueue{broker: broker, vms: vms, index: make(map[*cloud.VM]int, len(vms)), freePEs: make([]int, len(vms))}
+	q := &centralQueue{broker: broker, vms: vms, freePEs: make([]int, len(vms)), free: make([]uint64, (len(vms)+63)/64)}
 	for i, vm := range vms {
-		q.index[vm] = i
 		q.freePEs[i] = vm.PEs
+		q.free[i/64] |= 1 << (i % 64)
 	}
 	return q
 }
 
-// pick returns the lowest-ID VM index with enough free PEs for c, or -1.
-func (q *centralQueue) pick(c *cloud.Cloudlet) int {
-	for i, vm := range q.vms {
-		if q.freePEs[i] >= vmNeed(c, vm) {
-			return i
+// pick returns the lowest VM index with a free PE, or -1.
+func (q *centralQueue) pick() int {
+	for w, word := range q.free {
+		if word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
 		}
 	}
 	return -1
 }
 
 func (q *centralQueue) dispatch(c *cloud.Cloudlet, i int) {
-	q.freePEs[i] -= vmNeed(c, q.vms[i])
+	q.freePEs[i]--
+	if q.freePEs[i] == 0 {
+		q.free[i/64] &^= 1 << (i % 64)
+	}
 	q.broker.Submit(c, q.vms[i])
 }
 
 // arrive dispatches immediately when capacity is free, else queues.
 func (q *centralQueue) arrive(c *cloud.Cloudlet) {
-	if i := q.pick(c); i >= 0 {
+	if i := q.pick(); i >= 0 {
 		q.dispatch(c, i)
 		return
 	}
 	q.fifo = append(q.fifo, c)
 }
 
-// onFinish releases c's PEs and drains the queue head while it fits
-// somewhere — strict FIFO: if the head fits nowhere, nothing behind it may
-// overtake.
+// onFinish releases c's PE and drains the queue head while a PE is free —
+// strict FIFO: nothing behind the head may overtake it.
 func (q *centralQueue) onFinish(c *cloud.Cloudlet) {
-	i := q.index[c.VM]
-	q.freePEs[i] += vmNeed(c, c.VM)
+	i := c.VM.ID
+	q.freePEs[i]++
+	q.free[i/64] |= 1 << (i % 64)
 	for q.head < len(q.fifo) {
-		next := q.fifo[q.head]
-		j := q.pick(next)
+		j := q.pick()
 		if j < 0 {
 			break
 		}
+		next := q.fifo[q.head]
 		q.fifo[q.head] = nil // release for GC; the slice itself is reused
 		q.head++
 		q.dispatch(next, j)
@@ -198,14 +195,14 @@ func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
 	// Service demands: exponential length with mean MeanLengthMI, clamped
 	// to the engine's positive-length floor. Stream (seed, 6) is reserved
 	// for service draws so arrival and service randomness never correlate.
-	lengths := make([]float64, n)
+	cloudlets := make([]*cloud.Cloudlet, n)
 	r := xrand.New(spec.Seed, 6)
-	for i := range lengths {
+	for i := range cloudlets {
 		l := r.ExpFloat64() * spec.Workload.MeanLengthMI
 		if l < 1e-6 {
 			l = 1e-6
 		}
-		lengths[i] = l
+		cloudlets[i] = cloud.NewCloudlet(i, l, 1, 0, 0)
 	}
 
 	hostSlots := fleet
@@ -218,11 +215,6 @@ func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
 	}
 	eng := sim.NewEngine()
 	broker := cloud.NewBroker(eng, env, cloud.SpaceSharedFactory)
-
-	cloudlets := make([]*cloud.Cloudlet, n)
-	for i := range cloudlets {
-		cloudlets[i] = cloud.NewCloudlet(i, lengths[i], 1, 0, 0)
-	}
 
 	// Latency is measured against the arrival offset, not SubmitTime:
 	// under queue dispatch a cloudlet is only submitted once capacity
@@ -244,19 +236,33 @@ func Run(spec *Spec, fleet int, opts *RunOptions) (*RunResult, error) {
 		}
 	})
 
-	for i := range cloudlets {
-		c := cloudlets[i]
-		at := sim.Time(offsets[i])
-		if queue != nil {
-			eng.ScheduleAt(at, sim.PriorityAcquire, func() { queue.arrive(c) })
-		} else {
-			eng.ScheduleAt(at, sim.PriorityAcquire, func() {
-				if vm := spreadPick(broker.Environment().VMs); vm != nil {
-					broker.Submit(c, vm)
-				}
-			})
+	arrive := func(c *cloud.Cloudlet) {
+		if vm := spreadPick(broker.Environment().VMs); vm != nil {
+			broker.Submit(c, vm)
 		}
 	}
+	if queue != nil {
+		arrive = queue.arrive
+	}
+	// Arrivals are streamed: each one schedules its successor, so the event
+	// heap holds about one entry per busy PE instead of every future
+	// arrival. Offsets are sorted, so arrivals still fire in index order,
+	// and in queue and spread mode they are the only PriorityAcquire
+	// events, so the firing order equals scheduling all of them up front.
+	// Elastic specs add PriorityAcquire boot events. On an exact time tie a
+	// boot scheduled before the arrival fires first, where queueing every
+	// arrival up front would fire the arrival first; TestRunPinned pins
+	// elastic verdicts so such a drift cannot pass unnoticed.
+	next := 0
+	var fire func()
+	fire = func() {
+		c := cloudlets[next]
+		if next++; next < n {
+			eng.ScheduleAt(sim.Time(offsets[next]), sim.PriorityAcquire, fire)
+		}
+		arrive(c)
+	}
+	eng.ScheduleAt(sim.Time(offsets[0]), sim.PriorityAcquire, fire)
 
 	var scaler *elastic.Autoscaler
 	if e := spec.Elastic; e != nil {

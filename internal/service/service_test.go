@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -105,6 +106,36 @@ func TestServiceFlushByTimer(t *testing.T) {
 	}
 	if got := svc.prom.batchesTotal(); got != 1 {
 		t.Fatalf("batches = %d, want exactly 1 timer flush", got)
+	}
+}
+
+// TestServiceBatchCountedBeforeFinished pins the publication order: a
+// cloudlet's status turns finished only after its batch is counted, so the
+// first finished read already sees the batch in schedd_batches_total and
+// the cloudlet in schedd_finished_total. Each round is one single-cloudlet
+// batch polled without sleeping, to give a wrong order many chances to show.
+func TestServiceBatchCountedBeforeFinished(t *testing.T) {
+	svc := startService(t, Config{Scheduler: "base", BatchSize: 1})
+	const rounds = 250
+	for k := uint64(1); k <= rounds; k++ {
+		ids, err := svc.Submit(specN(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			rec, _ := svc.Status(ids[0])
+			if rec.State == StateFinished {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: cloudlet never finished; record %+v", k, rec)
+			}
+			runtime.Gosched()
+		}
+		if b, f := svc.prom.batchesTotal(), svc.prom.finishedTotal(); b < k || f < k {
+			t.Fatalf("round %d: status finished while batches_total = %d and finished_total = %d", k, b, f)
+		}
 	}
 }
 
@@ -323,7 +354,7 @@ func TestStatusStoreRetention(t *testing.T) {
 	for id := 1; id <= 4; id++ {
 		st.add(id, 0)
 		c := cloud.NewCloudlet(id, 100, 1, 0, 0)
-		st.finish(c) // VM nil: state still transitions
+		st.finish([]*cloud.Cloudlet{c}) // VM nil: state still transitions
 	}
 	if _, ok := st.get(1); ok {
 		t.Fatal("oldest finished record not evicted")

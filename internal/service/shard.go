@@ -88,10 +88,6 @@ func newShard(svc *Service, index int, vms []*cloud.VM) (*shard, error) {
 		return nil, err
 	}
 	sh.session = session
-	session.OnFinish(func(c *cloud.Cloudlet) {
-		svc.stat.finish(c)
-		sh.prom.finished.Inc()
-	})
 	return sh, nil
 }
 
@@ -196,6 +192,11 @@ func (sh *shard) runBatch(worker int, subs []*submission) {
 	}
 	rep := metrics.Collect(sh.svc.cfg.Scheduler, finished, sh.vms, schedTime)
 	sh.svc.prom.observeBatch(sh.prom, rep, metrics.CollectRunStats(finished))
+	// Terminal states are published only once the batch is counted, so a
+	// client that reads "finished" also sees its batch in
+	// schedd_batches_total and its cloudlets in schedd_finished_total.
+	sh.prom.finished.Add(uint64(len(finished)))
+	sh.svc.stat.finish(finished)
 }
 
 // mapAndExecute performs the mode-specific mapping step and the serialized

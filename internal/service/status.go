@@ -62,19 +62,21 @@ func (s *statusStore) scheduling(ids []int, batch int) {
 	s.mu.Unlock()
 }
 
-// finish records a completed cloudlet from the session's OnFinish hook.
-func (s *statusStore) finish(c *cloud.Cloudlet) {
+// finish records a batch's completed cloudlets as finished.
+func (s *statusStore) finish(cls []*cloud.Cloudlet) {
 	s.mu.Lock()
-	if r := s.records[c.ID]; r != nil {
-		r.State = StateFinished
-		if c.VM != nil {
-			r.VM = c.VM.ID
+	for _, c := range cls {
+		if r := s.records[c.ID]; r != nil {
+			r.State = StateFinished
+			if c.VM != nil {
+				r.VM = c.VM.ID
+			}
+			r.SubmitSim = c.SubmitTime
+			r.StartSim = c.StartTime
+			r.FinishSim = c.FinishTime
+			r.ExecSec = c.ExecTime()
+			s.retire(c.ID)
 		}
-		r.SubmitSim = c.SubmitTime
-		r.StartSim = c.StartTime
-		r.FinishSim = c.FinishTime
-		r.ExecSec = c.ExecTime()
-		s.retire(c.ID)
 	}
 	s.mu.Unlock()
 }

@@ -5,11 +5,17 @@ import (
 	"math"
 )
 
+// slabSize is the number of events allocated together: ScheduleAt carves
+// events out of one slab until it is used up, so the kernel pays one heap
+// allocation per slabSize events instead of one per event.
+const slabSize = 256
+
 // Engine drives a single simulation run. It is single-threaded by design:
 // run one Engine per goroutine for parallel experiments.
 type Engine struct {
 	now     Time
 	queue   eventHeap
+	slab    []Event // unused remainder of the current slab
 	seq     uint64
 	fired   uint64
 	stopped bool
@@ -47,7 +53,12 @@ func (e *Engine) ScheduleAt(t Time, priority int, fn func()) *Event {
 		panic("sim: ScheduleAt with nil callback")
 	}
 	e.seq++
-	ev := &Event{time: t, priority: priority, seq: e.seq, fn: fn}
+	if len(e.slab) == 0 {
+		e.slab = make([]Event, slabSize)
+	}
+	ev := &e.slab[0]
+	e.slab = e.slab[1:]
+	*ev = Event{time: t, priority: priority, seq: e.seq, fn: fn}
 	e.queue.push(ev)
 	return ev
 }
@@ -55,18 +66,27 @@ func (e *Engine) ScheduleAt(t Time, priority int, fn func()) *Event {
 // Step fires the next event, if any, and reports whether one fired.
 // Cancelled events are discarded without firing and without advancing time.
 func (e *Engine) Step() bool {
-	for {
-		if e.stopped || len(e.queue) == 0 {
-			return false
-		}
-		ev := e.queue.pop()
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.time
-		ev.fn()
-		e.fired++
-		return true
+	if e.stopped {
+		return false
+	}
+	e.discardCanceled()
+	if len(e.queue) == 0 {
+		return false
+	}
+	ev := e.queue.pop()
+	fn := ev.fn
+	ev.fn = nil // a slab slot must not keep the closure alive
+	e.now = ev.time
+	fn()
+	e.fired++
+	return true
+}
+
+// discardCanceled pops cancelled events off the front of the queue and
+// drops their callbacks.
+func (e *Engine) discardCanceled() {
+	for len(e.queue) > 0 && e.queue[0].canceled {
+		e.queue.pop().fn = nil
 	}
 }
 
@@ -85,6 +105,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if e.stopped {
 			return e.now
 		}
+		// Cancelled events must not count as due: Step would discard them
+		// and fire the next live event even if it lies past the deadline.
+		e.discardCanceled()
 		next := e.queue.peek()
 		if next == nil || next.time > deadline {
 			break

@@ -130,3 +130,68 @@ func TestEngineStressFuzz(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineCancelFiredEventIsNoOp: slab slots are never handed out twice,
+// so cancelling a handle after its event fired must not reach any event
+// scheduled later, across several slabs.
+func TestEngineCancelFiredEventIsNoOp(t *testing.T) {
+	e := NewEngine()
+	var handles []*Event
+	fired := 0
+	for i := 0; i < 3*slabSize; i++ {
+		handles = append(handles, e.Schedule(Time(i), PriorityDefault, func() { fired++ }))
+		if !e.Step() {
+			t.Fatalf("event %d did not fire", i)
+		}
+	}
+	for _, h := range handles {
+		h.Cancel()
+	}
+	later := 2 * slabSize
+	for i := 0; i < later; i++ {
+		e.Schedule(1, PriorityDefault, func() { fired++ })
+	}
+	e.Run()
+	if want := 3*slabSize + later; fired != want || e.Fired() != uint64(want) {
+		t.Fatalf("fired %d (engine %d), want %d: a stale Cancel reached a later event", fired, e.Fired(), want)
+	}
+}
+
+// TestEngineReleasesCallbacks: a fired or discarded event drops its
+// callback, so a slab never pins closures.
+func TestEngineReleasesCallbacks(t *testing.T) {
+	e := NewEngine()
+	fired := e.Schedule(1, PriorityDefault, func() {})
+	cancelled := e.Schedule(2, PriorityDefault, func() { t.Fatal("cancelled event fired") })
+	cancelled.Cancel()
+	pending := e.Schedule(3, PriorityDefault, func() {})
+	e.RunUntil(2.5)
+	if fired.fn != nil {
+		t.Fatal("fired event still holds its callback")
+	}
+	if cancelled.fn != nil {
+		t.Fatal("discarded event still holds its callback")
+	}
+	if pending.fn == nil {
+		t.Fatal("pending event lost its callback before firing")
+	}
+	e.Run()
+	if pending.fn != nil {
+		t.Fatal("fired event still holds its callback")
+	}
+}
+
+// TestEngineRunUntilSkipsCancelled: a cancelled event inside the window
+// must not let RunUntil fire a live event that lies past the deadline.
+func TestEngineRunUntilSkipsCancelled(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(2, PriorityDefault, func() {}).Cancel()
+	fired := false
+	e.Schedule(3, PriorityDefault, func() { fired = true })
+	if now := e.RunUntil(2.5); now != 2.5 || fired {
+		t.Fatalf("RunUntil(2.5) returned %v, fired the t=3 event: %v", now, fired)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want the t=3 event only", e.Pending())
+	}
+}

@@ -6,6 +6,12 @@
 // absolute times, and ties are broken first by an integer priority and then
 // by insertion order, so runs are fully deterministic. The future event list
 // is a single binary heap held directly by the Engine.
+//
+// Events are carved out of fixed-size slabs rather than allocated one by
+// one. A slot is never handed out twice, so an *Event handle stays valid
+// for the whole run and cancelling an event that already fired stays a
+// no-op; the engine drops each event's callback once it fires or is
+// discarded, so a slab pins no closures.
 package sim
 
 // Time is simulated time since the start of the run (seconds by convention

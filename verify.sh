@@ -6,7 +6,10 @@
 # parallel mapping kernels, the shard-count invariance of the merged
 # Eq. 12/13 metrics, and the qmodel-oracle gate (capacity-planning engine
 # vs analytic M/M/1 and M/M/c mean waits within documented bands, both
-# seeded plants caught) — a full-module race pass plus
+# seeded plants caught), the planner hot-path gate (allocations per
+# simulated cloudlet under a ceiling, and plan verdicts bit-identical to a
+# pinned table of probe statistics and DES event counts, each run three
+# times) — a full-module race pass plus
 # explicit race gates for the parallel kernels (aco/hbo/rbs/ga/objective)
 # and the sharded daemon (internal/service at 2/4 shards), and a short fuzz
 # smoke over the untrusted-input boundaries (the daemon's JSON submit
@@ -113,6 +116,12 @@ go test -run 'TestQModelOracle' ./internal/check
 # The same sweep through internal/plan's own differential table, plus the
 # fleet-shape invariance (c 1-PE VMs vs one c-PE VM, bit-identical).
 go test -run 'TestQModelDifferential|TestCentralQueueFleetShapeInvariant' ./internal/plan
+# Planner hot path, explicit: plan.Run must stay under its allocations-per-
+# cloudlet ceiling, and every pinned verdict (queue dispatch over 1-PE and
+# 4-PE VMs, spread, elastic; two seeds each) must reproduce its probe
+# statistics and DES event counts bit for bit. -count=3 repeats both to
+# shake out flakiness.
+go test -count=3 -run 'TestRunAllocsPerCloudlet|TestRunPinned' ./internal/plan
 
 go test -race ./...
 # Explicit race gate over the parallel mapping kernels: the invariance and
